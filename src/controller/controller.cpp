@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <thread>
 
@@ -98,6 +99,11 @@ void FaultTolerantController::recoverFromJournal() {
   obs::ScopedTimer timer(ControllerObs::get().recoverUs, "controller.recover");
   std::vector<JournalRecord> records = Journal::load(journal_->path());
   if (records.empty()) return;
+  for (const JournalRecord& rec : records) {
+    if (rec.type == JournalRecord::Type::kCheckpoint) {
+      checkpointFiles_.push_back(rec.file);
+    }
+  }
 
   // Newest intact checkpoint wins; a torn checkpoint file falls back to the
   // previous marker (the journal tail from there is still complete).
@@ -497,6 +503,14 @@ void FaultTolerantController::checkpointNow() {
                     journal_->lastSeq());
   journal_->appendCheckpoint(file);
   sinceCheckpoint_ = 0;
+  // The new marker is durable, so older checkpoints can go. Keep two: a
+  // torn newest one falls back to its predecessor, and since the journal is
+  // never compacted, recovery can still replay it in full without either.
+  checkpointFiles_.push_back(std::move(file));
+  while (checkpointFiles_.size() > 2) {
+    std::remove((options_.stateDir + "/" + checkpointFiles_.front()).c_str());
+    checkpointFiles_.pop_front();
+  }
 }
 
 void FaultTolerantController::maybeCheckpoint() {

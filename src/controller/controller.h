@@ -2,6 +2,7 @@
 #define FLAY_CONTROLLER_CONTROLLER_H
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -125,6 +126,9 @@ class FaultTolerantController {
   FaultTolerantController(const p4::CheckedProgram& checked, Device* device,
                           ControllerOptions options = {});
 
+  /// A journal write or fsync failure throws std::runtime_error, and every
+  /// later apply throws too: the controller acknowledges nothing it could
+  /// not make durable. Restart from the state directory to recover.
   ApplyResult apply(const runtime::Update& update);
   ApplyResult applyBatch(const std::vector<runtime::Update>& updates);
 
@@ -186,7 +190,8 @@ class FaultTolerantController {
     return pinned_;
   }
 
-  /// Forces a checkpoint of the current committed state.
+  /// Forces a checkpoint of the current committed state, then deletes this
+  /// journal's checkpoint files older than the newest two.
   void checkpointNow();
 
   /// Per-update IFC report of the attached engine; null when
@@ -259,6 +264,9 @@ class FaultTolerantController {
   support::Stopwatch degradedSince_;
   size_t sinceCheckpoint_ = 0;
   size_t sinceRecoverAttempt_ = 0;
+  /// Checkpoint files named by the journal, oldest first; checkpointNow()
+  /// deletes all but the newest two.
+  std::deque<std::string> checkpointFiles_;
 };
 
 }  // namespace flay::controller

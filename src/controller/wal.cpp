@@ -2,6 +2,9 @@
 
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +14,20 @@
 namespace flay::controller {
 
 namespace {
+
+struct JournalObs {
+  obs::Registry& reg = obs::Registry::global();
+  /// Every record appended, synced or not.
+  obs::Counter& records = reg.counter("controller.journal_records");
+  /// Group commits: one flush + fsync per commit/abort/checkpoint/ifc.
+  obs::Counter& syncs = reg.counter("controller.journal_syncs");
+  obs::Histogram& syncUs = reg.histogram("controller.journal_sync_us");
+
+  static JournalObs& get() {
+    static JournalObs instance;
+    return instance;
+  }
+};
 
 /// Journal lines are JSON; update text contains no quotes or control
 /// characters today, but escape defensively so the format stays valid if a
@@ -107,8 +124,20 @@ Journal::~Journal() { close(); }
 
 void Journal::open() {
   if (file_ != nullptr) return;
-  // Continue the sequence after whatever intact tail already exists.
-  for (const JournalRecord& rec : load(path_)) seq_ = rec.seq;
+  // Continue the sequence after whatever intact prefix already exists, and
+  // cut any torn tail: appending after it would glue the next record onto
+  // the torn line, and a later recovery would stop there and lose it.
+  uint64_t intactBytes = 0;
+  for (const JournalRecord& rec : loadPrefix(path_, &intactBytes)) {
+    seq_ = rec.seq;
+  }
+  std::error_code ec;
+  uint64_t size = std::filesystem::file_size(path_, ec);
+  if (!ec && size > intactBytes &&
+      ::truncate(path_.c_str(), static_cast<off_t>(intactBytes)) != 0) {
+    throw std::runtime_error("cannot truncate torn journal tail '" + path_ +
+                             "': " + std::strerror(errno));
+  }
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
     throw std::runtime_error("cannot open journal '" + path_ + "'");
@@ -121,21 +150,38 @@ void Journal::close() {
   file_ = nullptr;
 }
 
+void Journal::check(bool ok, const char* what) {
+  if (ok) return;
+  int err = errno;
+  failed_ = true;
+  throw std::runtime_error(std::string("journal ") + what + " failed: " +
+                           path_ + ": " + std::strerror(err));
+}
+
 uint64_t Journal::append(const std::string& body) {
   if (file_ == nullptr) {
     throw std::runtime_error("journal '" + path_ + "' is not open");
   }
+  if (failed_) {
+    throw std::runtime_error("journal '" + path_ +
+                             "' failed earlier; restart to recover");
+  }
   uint64_t seq = ++seq_;
   std::string line = "{\"seq\":" + std::to_string(seq) + "," + body + "}\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    throw std::runtime_error("journal write failed: " + path_);
-  }
-  // Flush to the OS and to the disk: a record is only "journaled" once it
-  // survives SIGKILL of this process (fflush) and power loss (fsync).
-  std::fflush(file_);
-  ::fsync(fileno(file_));
-  obs::Registry::global().counter("controller.journal_records").add(1);
+  check(std::fwrite(line.data(), 1, line.size(), file_) == line.size(),
+        "write");
+  JournalObs::get().records.add(1);
   return seq;
+}
+
+void Journal::sync() {
+  JournalObs& jobs = JournalObs::get();
+  obs::ScopedTimer timer(jobs.syncUs, "controller.journal_sync");
+  // fflush hands the group to the OS (survives SIGKILL of this process);
+  // fsync puts it on the disk (survives power loss).
+  check(std::fflush(file_) == 0, "flush");
+  check(::fsync(fileno(file_)) == 0, "fsync");
+  jobs.syncs.add(1);
 }
 
 uint64_t Journal::appendBegin(size_t n) {
@@ -147,28 +193,53 @@ uint64_t Journal::appendUpdate(const runtime::Update& update) {
                 jsonEscape(update.toString()) + "\"");
 }
 
-uint64_t Journal::appendCommit() { return append("\"type\":\"commit\""); }
+uint64_t Journal::appendCommit() {
+  uint64_t seq = append("\"type\":\"commit\"");
+  sync();
+  return seq;
+}
 
-uint64_t Journal::appendAbort() { return append("\"type\":\"abort\""); }
+uint64_t Journal::appendAbort() {
+  // A group without a commit never replays, so the abort need not be
+  // durable; it syncs anyway to keep the rule "every group end syncs".
+  uint64_t seq = append("\"type\":\"abort\"");
+  sync();
+  return seq;
+}
 
 uint64_t Journal::appendCheckpoint(const std::string& checkpointFile) {
-  return append("\"type\":\"checkpoint\",\"file\":\"" +
-                jsonEscape(checkpointFile) + "\"");
+  uint64_t seq = append("\"type\":\"checkpoint\",\"file\":\"" +
+                        jsonEscape(checkpointFile) + "\"");
+  sync();
+  return seq;
 }
 
 uint64_t Journal::appendIfcViolation(const std::string& flowText) {
-  return append("\"type\":\"ifc\",\"text\":\"" + jsonEscape(flowText) + "\"");
+  uint64_t seq =
+      append("\"type\":\"ifc\",\"text\":\"" + jsonEscape(flowText) + "\"");
+  sync();
+  return seq;
 }
 
 std::vector<JournalRecord> Journal::load(const std::string& path) {
+  uint64_t intactBytes = 0;
+  return loadPrefix(path, &intactBytes);
+}
+
+std::vector<JournalRecord> Journal::loadPrefix(const std::string& path,
+                                               uint64_t* intactBytes) {
   std::vector<JournalRecord> records;
+  *intactBytes = 0;
   std::ifstream in(path);
   if (!in) return records;
   std::string line;
   while (std::getline(in, line)) {
+    // A line without its newline was cut mid-append, however it parses.
+    if (in.eof()) break;
     JournalRecord rec;
     if (!parseLine(line, &rec)) break;  // torn tail: stop, keep the prefix
     records.push_back(std::move(rec));
+    *intactBytes += line.size() + 1;
   }
   return records;
 }

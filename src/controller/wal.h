@@ -26,8 +26,19 @@ struct JournalRecord {
 /// applied group is bracketed begin/commit; a group missing its commit (the
 /// process died mid-apply, or the apply aborted) is skipped on replay, which
 /// is exactly the transactional contract: recovery lands on the last
-/// committed state. Each append is flushed and fsync'd before returning, so
-/// a committed record survives SIGKILL.
+/// committed state.
+///
+/// Group commit: begin and update records only enter the stdio buffer. The
+/// records that end a group or mark a recovery point (commit, abort,
+/// checkpoint, ifc) are fsync'd at commit: they flush the buffer and fsync
+/// once, so each transaction costs one fsync and a committed group survives
+/// SIGKILL and power loss together with every record before it.
+///
+/// A failed write, flush or fsync throws std::runtime_error and leaves the
+/// journal failed: every later append throws too, so the caller never
+/// acknowledges another transaction. The group whose sync failed may or may
+/// not appear after recovery (the kernel may have written some of it) —
+/// the same outcome as a crash between the commit write and the return.
 class Journal {
  public:
   explicit Journal(std::string path) : path_(std::move(path)) {}
@@ -35,7 +46,9 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Opens for appending, continuing the sequence after any existing tail.
+  /// Opens for appending, continuing the sequence after the intact prefix.
+  /// A torn tail (a record cut short by a crash) is truncated away first, so
+  /// the next record starts on a line of its own.
   void open();
   void close();
   bool isOpen() const { return file_ != nullptr; }
@@ -55,16 +68,26 @@ class Journal {
   const std::string& path() const { return path_; }
 
   /// Loads every parseable record. Torn-tail tolerant: reading stops at the
-  /// first malformed or truncated line (an append cut short by a crash) —
-  /// everything before it is intact because appends are sequential.
+  /// first malformed, truncated or unterminated line (an append cut short by
+  /// a crash) — everything before it is intact because appends are
+  /// sequential.
   static std::vector<JournalRecord> load(const std::string& path);
 
  private:
+  /// Buffers one record; does not flush.
   uint64_t append(const std::string& body);
+  /// Flushes the buffer and fsyncs: the group commit point.
+  void sync();
+  /// Throws (and fails the journal) when `ok` is false.
+  void check(bool ok, const char* what);
+  /// load(), also reporting the byte length of the intact prefix.
+  static std::vector<JournalRecord> loadPrefix(const std::string& path,
+                                               uint64_t* intactBytes);
 
   std::string path_;
   std::FILE* file_ = nullptr;
   uint64_t seq_ = 0;
+  bool failed_ = false;
 };
 
 /// Point-in-time snapshot of a DeviceConfig, written atomically (temp file +

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -68,6 +73,35 @@ size_t applyScript(FaultTolerantController& c,
 
 uint64_t counterValue(const char* name) {
   return obs::Registry::global().counter(name).value();
+}
+
+/// The descriptor this process holds open on `path`, or -1. Lets a test
+/// swap what sits behind the journal's FILE without reaching inside it.
+int openFdOf(const std::string& path) {
+  struct stat target {};
+  if (::stat(path.c_str(), &target) != 0) return -1;
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && st.st_dev == target.st_dev &&
+        st.st_ino == target.st_ino) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+/// checkpoint-*.ckpt files in `dir`, oldest (lowest sequence) first.
+std::vector<fs::path> checkpointFiles(const std::string& dir) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("checkpoint-", 0) == 0 &&
+        entry.path().extension() == ".ckpt") {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,9 +252,56 @@ TEST(CrashRecovery, RecoversToExactDigestAtEveryKillPoint) {
         } catch (const std::invalid_argument&) {
         }
       }
-      // Destructor without any shutdown flush = SIGKILL equivalent: every
-      // record was fsync'd at commit time.
+      // Destructor without any shutdown call. Every acknowledged group was
+      // fsync'd at commit; SigkillAtKillPointsRecoversToExactDigest below
+      // checks the same without the destructor's stdio flush.
     }
+    FaultTolerantController recovered(checked, nullptr, opts);
+    EXPECT_EQ(recovered.stateDigest(), reference[k]) << "kill point " << k;
+  }
+}
+
+// The same law under a real SIGKILL. The destroyed-controller kill above
+// runs fclose, which flushes stdio; a killed process flushes nothing, so
+// only what the journal synced at commit survives. One child at a time.
+TEST(CrashRecovery, SigkillAtKillPointsRecoversToExactDigest) {
+  p4::CheckedProgram checked = load("middleblock");
+  auto script = net::fuzzUpdateSequence(checked, 24, 11);
+  ControllerOptions opts;
+  opts.checkpointEvery = 5;
+
+  std::vector<std::string> reference;
+  {
+    StateDir dir("sigkill-ref");
+    opts.stateDir = dir.str();
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    reference.push_back(ctrl.stateDigest());
+    for (const runtime::Update& u : script) {
+      applyScript(ctrl, {u}, 1);
+      reference.push_back(ctrl.stateDigest());
+    }
+  }
+
+  for (size_t k : {1u, 3u, 6u, 9u, 13u, 17u, 21u, 24u}) {
+    ASSERT_LE(k, script.size());
+    StateDir dir("sigkill");
+    opts.stateDir = dir.str();
+    std::fflush(nullptr);  // the child must not re-emit buffered output
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      try {
+        FaultTolerantController ctrl(checked, nullptr, opts);
+        applyScript(ctrl, script, k);
+        ::kill(::getpid(), SIGKILL);
+      } catch (...) {
+      }
+      ::_exit(2);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "kill point " << k << ": child did not die by SIGKILL";
     FaultTolerantController recovered(checked, nullptr, opts);
     EXPECT_EQ(recovered.stateDigest(), reference[k]) << "kill point " << k;
   }
@@ -252,6 +333,43 @@ TEST(CrashRecovery, TornJournalTailIsIgnored) {
   EXPECT_EQ(recovered.stateDigest(), digest);
 }
 
+// Reopening the journal cuts the torn tail. Otherwise the next record would
+// be glued onto the torn line, and a second recovery would stop there and
+// lose every transaction committed after the first one.
+TEST(CrashRecovery, TornTailIsCutSoLaterCommitsSurviveTheNextRecovery) {
+  StateDir dir("torn-twice");
+  p4::CheckedProgram checked = load("middleblock");
+  auto script = net::fuzzUpdateSequence(checked, 12, 9);
+  std::vector<runtime::Update> head(script.begin(), script.begin() + 6);
+  std::vector<runtime::Update> tail(script.begin() + 6, script.end());
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  opts.checkpointEvery = 0;
+  {
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    applyScript(ctrl, head, head.size());
+  }
+  {
+    std::FILE* f =
+        std::fopen((dir.str() + "/journal.jsonl").c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"seq\":999999,\"type\":\"upd", f);  // no newline: torn
+    std::fclose(f);
+  }
+  std::string digest;
+  uint64_t committed = 0;
+  {
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    applyScript(ctrl, tail, tail.size());
+    digest = ctrl.stateDigest();
+    committed = ctrl.committedUpdates();
+  }
+  FaultTolerantController recovered(checked, nullptr, opts);
+  EXPECT_EQ(recovered.stateDigest(), digest);
+  EXPECT_EQ(recovered.replayedUpdates(), committed);
+}
+
 TEST(CrashRecovery, CheckpointBoundsReplayWork) {
   StateDir dir("ckpt");
   p4::CheckedProgram checked = load("middleblock");
@@ -272,6 +390,215 @@ TEST(CrashRecovery, CheckpointBoundsReplayWork) {
   EXPECT_EQ(recovered.stateDigest(), digest);
   // Everything before the checkpoint came from the snapshot, not replay.
   EXPECT_EQ(recovered.replayedUpdates(), 0u) << "applied " << applied;
+}
+
+// checkpointNow keeps only the newest two checkpoint files, also across a
+// restart, and recovery still reaches the live digest.
+TEST(CrashRecovery, CheckpointsBeyondTheNewestTwoAreDeleted) {
+  StateDir dir("ckpt-prune");
+  p4::CheckedProgram checked = load("middleblock");
+  auto script = net::fuzzUpdateSequence(checked, 30, 13);
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  opts.checkpointEvery = 0;
+  std::string digest;
+  {
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    for (size_t round = 0; round < 10; ++round) {
+      std::vector<runtime::Update> slice(script.begin() + 3 * round,
+                                         script.begin() + 3 * round + 3);
+      applyScript(ctrl, slice, slice.size());
+      ctrl.checkpointNow();
+      EXPECT_LE(checkpointFiles(dir.str()).size(), 2u) << "round " << round;
+    }
+    digest = ctrl.stateDigest();
+  }
+  EXPECT_EQ(checkpointFiles(dir.str()).size(), 2u);
+  FaultTolerantController recovered(checked, nullptr, opts);
+  EXPECT_EQ(recovered.stateDigest(), digest);
+  recovered.checkpointNow();
+  EXPECT_EQ(checkpointFiles(dir.str()).size(), 2u);
+}
+
+// The second checkpoint kept is the fallback: with the newest one torn,
+// recovery loads the older one and replays the journal from there.
+TEST(CrashRecovery, TruncatedNewestCheckpointRecoversThroughTheOlderOne) {
+  StateDir dir("ckpt-torn");
+  p4::CheckedProgram checked = load("middleblock");
+  auto script = net::fuzzUpdateSequence(checked, 16, 17);
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  opts.checkpointEvery = 0;
+  std::string digest;
+  uint64_t committedAtOlder = 0;
+  uint64_t committed = 0;
+  {
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    for (size_t round = 0; round < 3; ++round) {
+      std::vector<runtime::Update> slice(script.begin() + 4 * round,
+                                         script.begin() + 4 * round + 4);
+      applyScript(ctrl, slice, slice.size());
+      committedAtOlder = committed;
+      committed = ctrl.committedUpdates();
+      ctrl.checkpointNow();
+    }
+    std::vector<runtime::Update> tail(script.begin() + 12, script.end());
+    applyScript(ctrl, tail, tail.size());
+    digest = ctrl.stateDigest();
+    committed = ctrl.committedUpdates();
+  }
+  std::vector<fs::path> files = checkpointFiles(dir.str());
+  ASSERT_EQ(files.size(), 2u);
+  fs::resize_file(files.back(), fs::file_size(files.back()) / 2);
+
+  FaultTolerantController recovered(checked, nullptr, opts);
+  EXPECT_EQ(recovered.stateDigest(), digest);
+  EXPECT_EQ(recovered.replayedUpdates(), committed - committedAtOlder);
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: one fsync per transaction, and a failed one is sticky.
+// ---------------------------------------------------------------------------
+
+TEST(GroupCommit, OneSyncPerTransactionAndEveryRecordCounted) {
+  p4::CheckedProgram checked = load("middleblock");
+  auto entries = net::middleblockAclEntries(138);
+  std::vector<runtime::Update> batch(entries.begin(), entries.begin() + 10);
+  std::vector<runtime::Update> stream(entries.begin() + 10, entries.end());
+  obs::Histogram& syncUs =
+      obs::Registry::global().histogram("controller.journal_sync_us");
+  flay::BulkLoadOptions bopts;
+  bopts.chunkSize = 32;  // 128 updates: four chunks
+
+  StateDir dir("syncs");
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  opts.checkpointEvery = 0;
+  FaultTolerantController ctrl(checked, nullptr, opts);
+
+  uint64_t syncs = counterValue("controller.journal_syncs");
+  uint64_t records = counterValue("controller.journal_records");
+  uint64_t timed = syncUs.count();
+  ctrl.applyBatch(batch);
+  EXPECT_EQ(counterValue("controller.journal_syncs"), syncs + 1);
+  EXPECT_EQ(counterValue("controller.journal_records"), records + 12);
+  EXPECT_EQ(syncUs.count(), timed + 1);
+
+  syncs = counterValue("controller.journal_syncs");
+  records = counterValue("controller.journal_records");
+  ASSERT_EQ(ctrl.applyBulk(stream, bopts).report.applied, stream.size());
+  EXPECT_EQ(counterValue("controller.journal_syncs"), syncs + 4);
+  EXPECT_EQ(counterValue("controller.journal_records"), records + 4 * 34);
+
+  // With checkpoints on, the end-of-stream checkpoint marker syncs once more.
+  StateDir ckptDir("syncs-ckpt");
+  opts.stateDir = ckptDir.str();
+  opts.checkpointEvery = 64;
+  FaultTolerantController withCkpt(checked, nullptr, opts);
+  syncs = counterValue("controller.journal_syncs");
+  records = counterValue("controller.journal_records");
+  ASSERT_EQ(withCkpt.applyBulk(stream, bopts).report.applied, stream.size());
+  EXPECT_EQ(counterValue("controller.journal_syncs"), syncs + 5);
+  EXPECT_EQ(counterValue("controller.journal_records"), records + 4 * 34 + 1);
+}
+
+// Every write to /dev/full fails with ENOSPC: the commit's flush throws, and
+// the journal stays failed even once its descriptor points back at the file.
+TEST(GroupCommit, FailedFlushThrowsAndFailsTheJournal) {
+  StateDir dir("flush-fail");
+  const std::string path = dir.str() + "/journal.jsonl";
+  Journal journal(path);
+  journal.open();
+  journal.appendBegin(0);
+  journal.appendCommit();
+  int fd = openFdOf(path);
+  ASSERT_GE(fd, 0);
+  int saved = ::dup(fd);
+  int full = ::open("/dev/full", O_WRONLY);
+  ASSERT_GE(full, 0);
+  ASSERT_EQ(::dup2(full, fd), fd);
+  ::close(full);
+
+  journal.appendBegin(0);  // buffered only: nothing fails yet
+  try {
+    journal.appendCommit();
+    ADD_FAILURE() << "commit on /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("flush"), std::string::npos)
+        << e.what();
+  }
+  ASSERT_EQ(::dup2(saved, fd), fd);
+  ::close(saved);
+  EXPECT_THROW(journal.appendBegin(0), std::runtime_error);
+  EXPECT_THROW(journal.appendCheckpoint("x.ckpt"), std::runtime_error);
+}
+
+// A pipe takes the flushed bytes but cannot be fsync'd (EINVAL): the fsync
+// result is checked too.
+TEST(GroupCommit, FailedFsyncThrowsAndFailsTheJournal) {
+  StateDir dir("fsync-fail");
+  const std::string path = dir.str() + "/journal.jsonl";
+  int pipeFds[2];
+  ASSERT_EQ(::pipe(pipeFds), 0);
+  {
+    Journal journal(path);
+    journal.open();
+    int fd = openFdOf(path);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::dup2(pipeFds[1], fd), fd);
+    journal.appendBegin(0);
+    try {
+      journal.appendCommit();
+      ADD_FAILURE() << "commit on a pipe did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("fsync"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(journal.appendAbort(), std::runtime_error);
+  }
+  ::close(pipeFds[0]);
+  ::close(pipeFds[1]);
+}
+
+// The controller surfaces the failed sync and then refuses every later
+// apply before touching state: it acknowledges nothing it could not make
+// durable. /dev/full took none of the failed group, so recovery lands on
+// the last acknowledged state.
+TEST(GroupCommit, ControllerAcknowledgesNothingAfterAFailedSync) {
+  StateDir dir("ctrl-sync-fail");
+  p4::CheckedProgram checked = load("middleblock");
+  auto entries = net::middleblockAclEntries(6);
+
+  ControllerOptions opts;
+  opts.stateDir = dir.str();
+  opts.checkpointEvery = 0;
+  std::string acknowledged;
+  {
+    FaultTolerantController ctrl(checked, nullptr, opts);
+    for (size_t i = 0; i < 3; ++i) ctrl.apply(entries[i]);
+    acknowledged = ctrl.stateDigest();
+    int fd = openFdOf(dir.str() + "/journal.jsonl");
+    ASSERT_GE(fd, 0);
+    int full = ::open("/dev/full", O_WRONLY);
+    ASSERT_GE(full, 0);
+    ASSERT_EQ(::dup2(full, fd), fd);
+    ::close(full);
+
+    EXPECT_THROW(ctrl.apply(entries[3]), std::runtime_error);
+    std::string afterFailure = ctrl.stateDigest();
+    uint64_t committed = ctrl.committedUpdates();
+    EXPECT_EQ(committed, 3u);
+    EXPECT_THROW(ctrl.apply(entries[4]), std::runtime_error);
+    EXPECT_THROW(ctrl.applyBatch({entries[4], entries[5]}),
+                 std::runtime_error);
+    EXPECT_EQ(ctrl.stateDigest(), afterFailure);
+    EXPECT_EQ(ctrl.committedUpdates(), committed);
+  }
+  FaultTolerantController recovered(checked, nullptr, opts);
+  EXPECT_EQ(recovered.stateDigest(), acknowledged);
+  EXPECT_EQ(recovered.replayedUpdates(), 3u);
 }
 
 // ---------------------------------------------------------------------------

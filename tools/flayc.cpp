@@ -931,7 +931,7 @@ int cmdCrashtest(const p4::CheckedProgram& checked, const Options& opts) {
       for (size_t j = 0; j < k; ++j) applyOne(run, script[j]);
       // The controller is dropped here with no shutdown work — the moral
       // equivalent of SIGKILL. Durability must come entirely from the
-      // per-record journal fsyncs and any checkpoints already on disk.
+      // journal groups fsync'd at commit and the checkpoints on disk.
     }
     if (opts.tornTail) {
       // Simulate a write cut mid-record by the crash: recovery must treat
